@@ -29,11 +29,6 @@ or the normalized ratio is enough; a genuine algorithmic regression —
 the failure mode this guard exists for, which costs integer factors,
 not percents — fails both.
 
-When the current JSON is a hermeslint --json report (its "tool" field
-says so), the guard only *reports* lint wall time against the committed
-metrics.lint baseline and always exits 0 — lint latency is tracked, not
-gated (the hard lint gate is hermeslint's own exit code in tier1.sh).
-
 When the current JSON comes from bench_ext_fattree_scale (its "bench"
 field says so), the fat-tree gates apply instead:
 
@@ -111,24 +106,6 @@ def check_fattree(baseline, current, failures):
         )
 
 
-def report_lint(baseline, current):
-    """Informational only: compare lint wall time to the committed baseline."""
-    timing = current.get("timing") or {}
-    wall = timing.get("wall_ms")
-    if wall is None:
-        print("lint report: no timing block in the hermeslint JSON (old binary?)")
-        return
-    reused = int(timing.get("files_reused") or 0)
-    mode = "warm" if reused > 0 else "cold"
-    base = metric(baseline, "lint", f"{mode}_wall_ms")
-    vs = f" vs committed {mode} baseline {base:,.1f} ms" if base else ""
-    print(
-        f"lint report ({mode}): {wall:,.1f} ms for "
-        f"{int(current.get('files_scanned') or 0)} files "
-        f"({reused} from cache, {int(timing.get('files_linted') or 0)} linted){vs}"
-    )
-
-
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -139,10 +116,6 @@ def main(argv):
         current = json.load(f)
 
     failures = []
-
-    if current.get("tool") == "hermeslint":
-        report_lint(baseline, current)
-        return 0
 
     if current.get("bench") == "bench_ext_fattree_scale":
         check_fattree(baseline, current, failures)

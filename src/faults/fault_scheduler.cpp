@@ -7,7 +7,6 @@
 
 #include "hermes/net/port.hpp"
 #include "hermes/net/switch.hpp"
-#include "hermes/obs/metrics.hpp"
 #include "hermes/obs/records.hpp"
 
 namespace hermes::faults {
@@ -110,12 +109,6 @@ void FaultScheduler::record_fault(const FaultEvent& e, bool onset) {
   r.u.fault.action = static_cast<std::uint8_t>(e.action);
   r.u.fault.onset = onset ? 1 : 0;
   rec_->append(r);
-}
-
-void FaultScheduler::register_metrics(obs::MetricsRegistry& reg) {
-  reg.counter_fn("faults.installed", [this] { return static_cast<std::uint64_t>(installed_); });
-  reg.counter_fn("faults.applied", [this] { return static_cast<std::uint64_t>(log_.size()); });
-  reg.gauge_fn("faults.active", [this] { return static_cast<double>(active_); });
 }
 
 std::string FaultScheduler::describe(const FaultEvent& e) {

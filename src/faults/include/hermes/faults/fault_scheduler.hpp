@@ -11,7 +11,6 @@
 #include "hermes/faults/fault_plan.hpp"
 #include "hermes/net/fabric.hpp"
 #include "hermes/obs/flight_recorder.hpp"
-#include "hermes/obs/metrics.hpp"
 #include "hermes/sim/simulator.hpp"
 
 namespace hermes::faults {
@@ -56,8 +55,6 @@ class FaultScheduler {
     rec_ = rec;
     name_id_ = rec != nullptr ? rec->intern("faults") : 0;
   }
-  /// Register "faults.*" counters/gauges with the scenario's registry.
-  void register_metrics(obs::MetricsRegistry& reg);
 
  private:
   void apply(const FaultEvent& e);

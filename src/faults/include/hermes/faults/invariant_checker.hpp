@@ -57,10 +57,10 @@ struct FlowProgress {
   std::uint64_t bytes_acked = 0;
 };
 
-/// Runtime invariant checking over a live fabric. Installed once after
-/// the topology and host stacks are built, it wraps the per-port and
-/// per-host observer hooks to maintain global packet/byte accounting and
-/// asserts, at every fault transition and periodically:
+/// Runtime invariant checking over a live fabric. At every fault
+/// transition and periodically it sums the port and switch counters the
+/// fabric keeps anyway (nothing is added to the per-packet path) and
+/// asserts:
 ///
 ///   1. Byte conservation — every byte a host NIC accepted is delivered
 ///      to a host, dropped (queue, link-down, or injected switch
@@ -72,9 +72,8 @@ struct FlowProgress {
 ///      for `stuck_after` (scorecard metric, not a violation).
 ///
 /// Hard violations accumulate in `violations()`; a clean run has
-/// `ok() == true`. Note the checker chains onto Port::on_drop /
-/// Port::on_enqueue / Host::on_receive — code that *overwrites* (rather
-/// than chains) those hooks after installation breaks the accounting.
+/// `ok() == true`. The byte accounting is cumulative over the fabric's
+/// lifetime, so the checker may be built at any point of a run.
 class InvariantChecker {
  public:
   InvariantChecker(sim::Simulator& simulator, net::Topology& topo,
@@ -105,14 +104,15 @@ class InvariantChecker {
   void register_metrics(obs::MetricsRegistry& reg);
 
   // --- accounting (network-level, cumulative) ---------------------------
-  [[nodiscard]] std::uint64_t injected_bytes() const { return injected_bytes_; }
-  [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
+  /// Bytes host NICs accepted: transmitted, still queued, or dropped.
+  [[nodiscard]] std::uint64_t injected_bytes() const;
+  /// Bytes the host-facing leaf ports handed to hosts (transmitted and
+  /// no longer propagating).
+  [[nodiscard]] std::uint64_t delivered_bytes() const;
   /// All drops: queue overflow + link-down + injected switch failures.
   [[nodiscard]] std::uint64_t dropped_bytes() const;
   /// Bytes currently queued at or propagating on any port.
   [[nodiscard]] std::uint64_t in_flight_bytes() const;
-  [[nodiscard]] std::uint64_t injected_packets() const { return injected_packets_; }
-  [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_packets_; }
 
   // --- watchdog ---------------------------------------------------------
   /// Flows stuck (no ACK progress for >= stuck_after) at the last check.
@@ -121,13 +121,14 @@ class InvariantChecker {
   [[nodiscard]] std::size_t max_stuck_flows() const { return max_stuck_flows_; }
 
  private:
-  void install_hooks();
   void tick();
   void update_watchdog();
   void check_conservation(const char* context);
   void check_queue_bounds(const char* context);
   template <typename Fn>
   void for_each_port(Fn&& fn) const;
+  template <typename Fn>
+  void for_each_host_port(Fn&& fn) const;
   void violation(Invariant inv, const std::string& what,
                  std::uint64_t flow_id = InvariantViolation::kNoFlow);
 
@@ -135,23 +136,6 @@ class InvariantChecker {
   net::Topology& topo_;
   InvariantCheckerConfig config_;
   std::function<std::vector<FlowProgress>()> snapshot_fn_;
-
-  // Hooks that were installed before the checker wrapped them. The
-  // port/host hooks have fixed inline capacity (sim::InlineCallable), so
-  // the wrapper cannot capture its predecessor by value the way a
-  // std::function chain could; instead predecessors live here and the
-  // wrappers capture `this` plus an index (16 bytes).
-  std::vector<net::Port::Hook> prev_nic_enqueue_;   ///< one per host NIC
-  std::vector<net::Port::Hook> prev_nic_drop_;      ///< one per host NIC
-  std::vector<net::Host::ReceiveFn> prev_host_rx_;  ///< one per host
-  std::vector<net::Port::Hook> prev_switch_drop_;   ///< switch ports, flattened
-
-  std::uint64_t injected_packets_ = 0;
-  std::uint64_t injected_bytes_ = 0;
-  std::uint64_t delivered_packets_ = 0;
-  std::uint64_t delivered_bytes_ = 0;
-  std::uint64_t hook_dropped_packets_ = 0;
-  std::uint64_t hook_dropped_bytes_ = 0;
 
   struct Progress {
     std::uint64_t bytes = 0;

@@ -22,7 +22,6 @@ const char* to_string(Invariant inv) {
 InvariantChecker::InvariantChecker(sim::Simulator& simulator, net::Topology& topo,
                                    InvariantCheckerConfig config)
     : simulator_{simulator}, topo_{topo}, config_{config} {
-  install_hooks();
   if (config_.period > sim::SimTime::zero()) {
     simulator_.after(config_.period, [this] { tick(); });
   }
@@ -41,62 +40,37 @@ void InvariantChecker::for_each_port(Fn&& fn) const {
   }
 }
 
-void InvariantChecker::install_hooks() {
-  // Ingress: every byte the fabric accepts enters through a host NIC
-  // (data, ACKs, probes, probe replies alike). A NIC drop still counts as
-  // injected — the byte entered the accounting and left it as a drop.
-  // Predecessor hooks move into checker-owned vectors (the inline-storage
-  // hook type cannot capture a same-sized predecessor); wrappers then
-  // dispatch through `this` + index.
-  const int num_hosts = topo_.num_hosts();
-  prev_nic_enqueue_.resize(static_cast<std::size_t>(num_hosts));
-  prev_nic_drop_.resize(static_cast<std::size_t>(num_hosts));
-  prev_host_rx_.resize(static_cast<std::size_t>(num_hosts));
-  for (int h = 0; h < num_hosts; ++h) {
-    net::Port& nic = topo_.host(h).nic();
-    prev_nic_enqueue_[h] = std::move(nic.on_enqueue);
-    nic.on_enqueue = [this, h](const net::Packet& p) {
-      ++injected_packets_;
-      injected_bytes_ += p.size;
-      if (prev_nic_enqueue_[h]) prev_nic_enqueue_[h](p);
-    };
-    prev_nic_drop_[h] = std::move(nic.on_drop);
-    nic.on_drop = [this, h](const net::Packet& p) {
-      ++injected_packets_;
-      injected_bytes_ += p.size;
-      ++hook_dropped_packets_;
-      hook_dropped_bytes_ += p.size;
-      if (prev_nic_drop_[h]) prev_nic_drop_[h](p);
-    };
-    // Egress: delivery back to a host.
-    net::Host& host = topo_.host(h);
-    prev_host_rx_[h] = std::move(host.on_receive);
-    host.on_receive = [this, h](net::Packet p, int in_port) {
-      ++delivered_packets_;
-      delivered_bytes_ += p.size;
-      if (prev_host_rx_[h]) prev_host_rx_[h](std::move(p), in_port);
-    };
+// Leaf ports [0, hosts_per_leaf) are the downlinks to the leaf's hosts.
+template <typename Fn>
+void InvariantChecker::for_each_host_port(Fn&& fn) const {
+  for (int l = 0; l < topo_.config().num_leaves; ++l) {
+    for (int p = 0; p < topo_.hosts_per_leaf(); ++p) fn(topo_.leaf(l).port(p));
   }
-  // Drops inside the fabric (queue overflow and link-down; injected
-  // switch-failure drops are read from the per-switch counters).
-  auto hook_switch = [this](net::Switch& sw) {
-    for (int p = 0; p < sw.num_ports(); ++p) {
-      net::Port& port = sw.port(p);
-      const std::size_t idx = prev_switch_drop_.size();
-      prev_switch_drop_.push_back(std::move(port.on_drop));
-      port.on_drop = [this, idx](const net::Packet& pkt) {
-        ++hook_dropped_packets_;
-        hook_dropped_bytes_ += pkt.size;
-        if (prev_switch_drop_[idx]) prev_switch_drop_[idx](pkt);
-      };
-    }
-  };
-  for (int l = 0; l < topo_.config().num_leaves; ++l) hook_switch(topo_.leaf(l));
-  for (int s = 0; s < topo_.config().num_spines; ++s) hook_switch(topo_.spine(s));
+}
+
+// Every byte the fabric carries enters through a host NIC (data, ACKs,
+// probes, probe replies alike). A NIC drop still counts as injected: the
+// byte entered the accounting and left it as a drop.
+std::uint64_t InvariantChecker::injected_bytes() const {
+  std::uint64_t b = 0;
+  for (int h = 0; h < topo_.num_hosts(); ++h) {
+    const net::Port& nic = topo_.host(h).nic();
+    b += nic.stats().tx_bytes + nic.backlog_bytes() + nic.stats().drop_bytes;
+  }
+  return b;
+}
+
+// A host-facing port's wire always drains into its host: a link cut
+// loses what is sent into it, not what already left.
+std::uint64_t InvariantChecker::delivered_bytes() const {
+  std::uint64_t b = 0;
+  for_each_host_port([&b](const net::Port& p) { b += p.stats().tx_bytes - p.wire_bytes(); });
+  return b;
 }
 
 std::uint64_t InvariantChecker::dropped_bytes() const {
-  std::uint64_t b = hook_dropped_bytes_;
+  std::uint64_t b = 0;
+  for_each_port([&b](const net::Port& p) { b += p.stats().drop_bytes; });
   for (int l = 0; l < topo_.config().num_leaves; ++l) b += topo_.leaf(l).failure_drop_bytes();
   for (int s = 0; s < topo_.config().num_spines; ++s) b += topo_.spine(s).failure_drop_bytes();
   return b;
@@ -139,8 +113,8 @@ void InvariantChecker::register_metrics(obs::MetricsRegistry& reg) {
 }
 
 void InvariantChecker::check_conservation(const char* context) {
-  const std::uint64_t injected = injected_bytes_;
-  const std::uint64_t accounted = delivered_bytes_ + dropped_bytes() + in_flight_bytes();
+  const std::uint64_t injected = injected_bytes();
+  const std::uint64_t accounted = delivered_bytes() + dropped_bytes() + in_flight_bytes();
   if (injected != accounted) {
     violation(Invariant::kByteConservation,
               std::string("broken (") + context + "): injected=" + std::to_string(injected) +

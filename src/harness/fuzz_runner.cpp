@@ -169,8 +169,6 @@ ShardedFuzzOutcome run_sharded_fuzz_seed(std::uint64_t seed, Scheme scheme) {
   cfg.threads = 2;
   out.hash_t2 = run_hash(cfg);
 
-  // Unfinished count for reporting only — re-derived cheaply from the
-  // fact that both runs hashed identically when deterministic.
   if (!out.deterministic()) {
     out.repro = "hermesfuzz --sharded --seed=" + std::to_string(seed) +
                 " --scheme=" + to_string(scheme);

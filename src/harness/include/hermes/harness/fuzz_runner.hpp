@@ -58,7 +58,6 @@ struct ShardedFuzzOutcome {
   int num_shards = 0;
   std::uint64_t hash_t1 = 0;  ///< FNV-1a of (FCT csv + metrics), 1 thread
   std::uint64_t hash_t2 = 0;  ///< same scenario, 2 threads
-  std::size_t unfinished_flows = 0;
   std::string repro;  ///< one-line replay command, set on mismatch
 
   [[nodiscard]] bool deterministic() const { return hash_t1 == hash_t2; }

@@ -117,9 +117,12 @@ struct ScenarioConfig {
       wrap_balancer;
 };
 
+class ShardCore;
+
 /// Builds a fabric + per-host transport stacks + the selected load
 /// balancer, runs flow workloads, and collects FCT results. This is the
-/// per-experiment composition root used by examples, tests and benches.
+/// per-experiment composition root used by examples, tests and benches:
+/// one ShardCore over every leaf of a net::Topology, on one Simulator.
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig config);
@@ -130,15 +133,15 @@ class Scenario {
 
   [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
   [[nodiscard]] net::Topology& topology() { return *topo_; }
-  [[nodiscard]] lb::LoadBalancer& balancer() { return *lb_; }
+  [[nodiscard]] lb::LoadBalancer& balancer();
   [[nodiscard]] transport::HostStack& stack(int host_id) { return *stacks_[host_id]; }
-  [[nodiscard]] const ScenarioConfig& config() const { return config_; }
+  [[nodiscard]] const ScenarioConfig& config() const;
   /// Non-null only when the scheme is Hermes.
-  [[nodiscard]] lb::HermesLb* hermes() { return hermes_; }
+  [[nodiscard]] lb::HermesLb* hermes();
   /// Non-null only when the config carried a fault plan.
-  [[nodiscard]] faults::FaultScheduler* fault_scheduler() { return fault_sched_.get(); }
+  [[nodiscard]] faults::FaultScheduler* fault_scheduler();
   /// Non-null only when check_invariants was set.
-  [[nodiscard]] faults::InvariantChecker* invariants() { return checker_.get(); }
+  [[nodiscard]] faults::InvariantChecker* invariants();
 
   /// Non-null only when config.obs.enabled: the flight recorder wired
   /// into every port, the balancer, and the fault scheduler.
@@ -168,9 +171,7 @@ class Scenario {
 
   /// Flows currently in flight (visibility sampling, Table 2).
   [[nodiscard]] const std::unordered_map<std::uint64_t, transport::FlowSpec>& active_flows()
-      const {
-    return active_;
-  }
+      const;
   [[nodiscard]] std::uint64_t next_flow_id() { return next_flow_id_++; }
 
   /// In-flight flow ids in ascending order — the deterministic view of
@@ -178,40 +179,17 @@ class Scenario {
   [[nodiscard]] std::vector<std::uint64_t> sorted_active_ids() const;
 
  private:
-  void build_balancer();
-  void wire_observability();
   void maybe_dump_triage();
 
-  /// Flow-level totals accumulated as FlowRecords arrive (completion
-  /// callback and end-of-run harvest), so "transport.*" metrics never
-  /// iterate the unordered active-flow map.
-  struct TransportTotals {
-    std::uint64_t flows_completed = 0;
-    std::uint64_t flows_unfinished = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_retransmitted = 0;
-    std::uint64_t reroutes = 0;
-  };
-  void absorb(const transport::FlowRecord& r);
-
-  ScenarioConfig config_;
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<net::Topology> topo_;
-  std::unique_ptr<lb::LoadBalancer> lb_;
-  lb::HermesLb* hermes_ = nullptr;  // owned by lb_
-  std::vector<std::unique_ptr<transport::HostStack>> stacks_;
-  std::unique_ptr<faults::InvariantChecker> checker_;
-  std::unique_ptr<faults::FaultScheduler> fault_sched_;
   std::unique_ptr<obs::FlightRecorder> recorder_;
+  std::unique_ptr<ShardCore> core_;
+  // Declared after core_ so the stacks go before the balancer they use.
+  std::vector<std::unique_ptr<transport::HostStack>> stacks_;
   obs::MetricsRegistry metrics_;
-  TransportTotals transport_totals_;
 
-  stats::FctCollector collector_;
   std::string triage_path_;
-  std::unordered_map<std::uint64_t, transport::FlowSpec> active_;
-  std::size_t pending_ = 0;
   std::uint64_t next_flow_id_ = 1'000'000;  // manual flows; workloads use small ids
 };
 

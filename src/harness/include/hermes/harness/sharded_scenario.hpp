@@ -4,14 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "hermes/lb/hermes.hpp"
 #include "hermes/faults/fault_plan.hpp"
-#include "hermes/faults/fault_scheduler.hpp"
 #include "hermes/harness/scenario.hpp"
-#include "hermes/lb/load_balancer.hpp"
+#include "hermes/lb/hermes.hpp"
 #include "hermes/net/fattree.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/metrics.hpp"
@@ -56,14 +53,17 @@ struct ShardedScenarioConfig {
   ObsConfig obs;
 };
 
+class ShardCore;
+
 /// The sharded composition root: a FatTree partitioned across per-shard
-/// Simulators, per-shard load balancers / host stacks / fault schedulers,
-/// run under sim::ShardedExecutor with the fabric's mailbox exchange as
-/// the barrier. The division of state follows flow ownership: a flow
-/// lives entirely in the shard of its source host (sender, receiver-side
-/// bookkeeping callbacks, LB decisions and probe state are all keyed by
-/// source), so per-shard mutable state is only ever touched from that
-/// shard's event stream and rounds can run on parallel threads.
+/// Simulators, one ShardCore per shard (balancer, host stacks, fault
+/// schedule, flow book), run under sim::ShardedExecutor with the
+/// fabric's mailbox exchange as the barrier. The division of state
+/// follows flow ownership: a flow lives entirely in the shard of its
+/// source host (sender, receiver-side bookkeeping callbacks, LB decisions
+/// and probe state are all keyed by source), so per-shard mutable state
+/// is only ever touched from that shard's event stream and rounds can run
+/// on parallel threads.
 ///
 /// Determinism contract: for a fixed config (including num_shards), the
 /// merged results — FCT records, metrics, merged trace bytes — are
@@ -85,7 +85,7 @@ class ShardedScenario {
   [[nodiscard]] const ShardedScenarioConfig& config() const { return config_; }
   [[nodiscard]] transport::HostStack& stack(int host_id) { return *stacks_[host_id]; }
   /// The shard-local Hermes instance (null unless scheme is Hermes).
-  [[nodiscard]] lb::HermesLb* hermes(int shard) { return hermes_[shard]; }
+  [[nodiscard]] lb::HermesLb* hermes(int shard);
 
   /// Schedule flows; each is owned by (scheduled on, completed in) the
   /// shard of its source host.
@@ -113,44 +113,22 @@ class ShardedScenario {
   [[nodiscard]] bool dump_trace(const std::string& path) const;
 
  private:
-  struct ShardState {
-    std::size_t pending = 0;
-    stats::FctCollector collector;
-    std::unordered_map<std::uint64_t, transport::FlowSpec> live;
-    std::uint64_t timeouts = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_retransmitted = 0;
-    std::uint64_t reroutes = 0;
-    std::uint64_t flows_completed = 0;
-    std::uint64_t flows_unfinished = 0;
-  };
-
-  void build_balancers();
-  void wire_observability();
-  void absorb(int shard, const transport::FlowRecord& r);
   [[nodiscard]] int fault_owner_shard(const faults::FaultEvent& e) const;
-  [[nodiscard]] std::vector<std::uint64_t> sorted_active_ids(int shard) const;
 
   ShardedScenarioConfig config_;
   // HERMES_SHARD_OWNED one Simulator per shard; index only by shard id
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
   std::unique_ptr<net::FatTree> fabric_;
-  // HERMES_SHARD_OWNED one balancer per shard
-  std::vector<std::unique_ptr<lb::LoadBalancer>> lbs_;   ///< one per shard
-  // HERMES_SHARD_OWNED shard-local Hermes instances (owned by lbs_)
-  std::vector<lb::HermesLb*> hermes_;
-  std::vector<std::unique_ptr<transport::HostStack>> stacks_;  ///< per host
-  // HERMES_SHARD_OWNED per-shard fault scheduler, may be null
-  std::vector<std::unique_ptr<faults::FaultScheduler>> fault_scheds_;
   obs::StringTable trace_names_;  ///< shared by every shard recorder
   // HERMES_SHARD_OWNED per-shard flight recorder
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
+  // HERMES_SHARD_OWNED per-shard balancer, faults and flow book; a wrong
+  // index here is a cross-shard data race under the parallel executor
+  std::vector<std::unique_ptr<ShardCore>> shard_cores_;
+  // Declared after shard_cores_ so the stacks go before the balancers they use.
+  std::vector<std::unique_ptr<transport::HostStack>> stacks_;  ///< per host
   obs::MetricsRegistry metrics_;
 
-  // HERMES_SHARD_OWNED per-shard mutable run state; a wrong index here is
-  // a cross-shard data race under the parallel executor
-  std::vector<ShardState> shard_states_;
   sim::ShardedExecutor::Stats exec_stats_;
   unsigned threads_used_ = 0;
   std::uint64_t next_flow_id_ = 1'000'000;

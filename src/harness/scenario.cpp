@@ -1,18 +1,16 @@
 #include "hermes/harness/scenario.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "hermes/lb/ecmp.hpp"
-#include "hermes/lb/spray.hpp"
-#include "hermes/lb/wcmp.hpp"
+#include "hermes/harness/shard_core.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/trace_io.hpp"
 
@@ -34,119 +32,53 @@ const char* to_string(Scheme s) {
   return "?";
 }
 
-Scenario::Scenario(ScenarioConfig config) : config_{std::move(config)} {
-  // Plain-TCP mode (§5.4): no ECN marking; switches drop at the buffer.
-  if (!config_.tcp.dctcp) config_.topo.ecn_enabled = false;
-  // Spraying schemes are evaluated with the reordering mask, as the paper
-  // does for Presto* ("we implement a reordering buffer to mask packet
-  // reordering", §5.1).
-  if (config_.scheme == Scheme::kPrestoStar || config_.scheme == Scheme::kDrb ||
-      config_.scheme == Scheme::kDrill) {
-    config_.tcp.reorder_buffer = true;
+Scenario::Scenario(ScenarioConfig config) {
+  normalize_config(config.scheme, config.tcp, config.topo.ecn_enabled);
+  simulator_ = std::make_unique<sim::Simulator>(config.seed);
+  topo_ = std::make_unique<net::Topology>(*simulator_, config.topo);
+  if (config.obs.enabled) {
+    recorder_ = std::make_unique<obs::FlightRecorder>(config.obs.ring_capacity);
+    if (config.obs.trace_packets) topo_->set_recorder(recorder_.get());
   }
-
-  simulator_ = std::make_unique<sim::Simulator>(config_.seed);
-  topo_ = std::make_unique<net::Topology>(*simulator_, config_.topo);
-  build_balancer();
-  if (config_.wrap_balancer) {
-    lb_ = config_.wrap_balancer(*simulator_, *topo_, std::move(lb_));
-  }
-
   // In-band congestion stamping costs a DRE read per fabric hop; only
   // CONGA consumes it.
-  if (config_.scheme != Scheme::kConga) {
-    for (int l = 0; l < config_.topo.num_leaves; ++l) topo_->leaf(l).conga_stamping = false;
-    for (int s = 0; s < config_.topo.num_spines; ++s) topo_->spine(s).conga_stamping = false;
+  if (config.scheme != Scheme::kConga) {
+    for (int l = 0; l < topo_->num_leaves(); ++l) topo_->leaf(l).conga_stamping = false;
+    for (int s = 0; s < topo_->num_spines(); ++s) topo_->spine(s).conga_stamping = false;
   }
 
-  stacks_.reserve(static_cast<std::size_t>(topo_->num_hosts()));
-  for (int h = 0; h < topo_->num_hosts(); ++h) {
-    stacks_.push_back(std::make_unique<transport::HostStack>(*simulator_, *topo_, h, *lb_,
-                                                             config_.tcp));
-  }
+  std::vector<int> leaves(static_cast<std::size_t>(topo_->num_leaves()));
+  std::iota(leaves.begin(), leaves.end(), 0);
+  stacks_.resize(static_cast<std::size_t>(topo_->num_hosts()));
+  core_ = std::make_unique<ShardCore>(std::move(config), *simulator_, *topo_, leaves, stacks_,
+                                      recorder_.get(), /*stop_when_drained=*/true);
 
-  if (hermes_) {
-    hermes_->enable_probing(
-        [this](int src_host, net::Packet p) { stacks_[src_host]->send_raw(std::move(p)); });
-    for (int l = 0; l < config_.topo.num_leaves; ++l) {
-      const int agent = topo_->first_host_of_leaf(l);
-      stacks_[agent]->on_probe_reply = [this](const net::Packet& p) {
-        hermes_->on_probe_reply(p);
-      };
-    }
-  }
-
-  // Invariant checking wraps the host/port observer hooks, so it must
-  // come after the stacks installed theirs; the fault scheduler is wired
-  // last so every transition triggers a checker pass.
-  if (config_.check_invariants) {
-    checker_ = std::make_unique<faults::InvariantChecker>(*simulator_, *topo_,
-                                                          config_.invariant_config);
-    checker_->set_flow_snapshot([this] {
-      std::vector<faults::FlowProgress> snap;
-      snap.reserve(active_.size());
-      for (const std::uint64_t id : sorted_active_ids()) {
-        const transport::FlowSpec& spec = active_.at(id);
-        if (transport::TcpSender* snd = stacks_[spec.src]->sender(id)) {
-          snap.push_back({id, snd->snd_una()});
-        }
-      }
-      return snap;
-    });
-  }
-  if (!config_.fault_plan.empty()) {
-    fault_sched_ = std::make_unique<faults::FaultScheduler>(*simulator_, *topo_);
-    if (checker_) {
-      fault_sched_->on_transition = [this](const faults::FaultEvent& e) {
-        checker_->on_fault_transition(e);
-      };
-    }
-    fault_sched_->install(config_.fault_plan);
-  }
-
-  wire_observability();
-}
-
-void Scenario::wire_observability() {
-  if (config_.obs.enabled) {
-    recorder_ = std::make_unique<obs::FlightRecorder>(config_.obs.ring_capacity);
-    if (config_.obs.trace_packets) topo_->set_recorder(recorder_.get());
-    if (hermes_) hermes_->set_recorder(recorder_.get());
-    if (fault_sched_) fault_sched_->set_recorder(recorder_.get());
-  }
   // The registry is always on: pull closures read counters the modules
   // maintain anyway, so there is no per-packet cost until snapshot time.
-  metrics_.counter_fn("sim.events_processed",
-                      [this] { return simulator_->events().events_processed(); });
+  register_core_metrics(metrics_, {core_.get()});
   topo_->register_metrics(metrics_);
-  if (hermes_) hermes_->register_metrics(metrics_);
-  if (fault_sched_) fault_sched_->register_metrics(metrics_);
-  if (checker_) checker_->register_metrics(metrics_);
-  metrics_.counter_fn("transport.flows_completed",
-                      [this] { return transport_totals_.flows_completed; });
-  metrics_.counter_fn("transport.flows_unfinished",
-                      [this] { return transport_totals_.flows_unfinished; });
-  metrics_.counter_fn("transport.timeouts", [this] { return transport_totals_.timeouts; });
-  metrics_.counter_fn("transport.fast_retransmits",
-                      [this] { return transport_totals_.fast_retransmits; });
-  metrics_.counter_fn("transport.packets_sent",
-                      [this] { return transport_totals_.packets_sent; });
-  metrics_.counter_fn("transport.packets_retransmitted",
-                      [this] { return transport_totals_.packets_retransmitted; });
-  metrics_.counter_fn("transport.reroutes", [this] { return transport_totals_.reroutes; });
+  // Serial only: one histogram observed from several shard threads
+  // would race.
+  if (lb::HermesLb* h = core_->hermes()) {
+    h->set_latch_histogram(&metrics_.histogram("lb.latch_lifetime_us"));
+  }
+  if (faults::InvariantChecker* inv = core_->invariants()) inv->register_metrics(metrics_);
 }
 
-void Scenario::absorb(const transport::FlowRecord& r) {
-  if (r.finished) {
-    ++transport_totals_.flows_completed;
-  } else {
-    ++transport_totals_.flows_unfinished;
-  }
-  transport_totals_.timeouts += r.timeouts;
-  transport_totals_.fast_retransmits += r.fast_retransmits;
-  transport_totals_.packets_sent += r.packets_sent;
-  transport_totals_.packets_retransmitted += r.packets_retransmitted;
-  transport_totals_.reroutes += r.reroutes;
+Scenario::~Scenario() = default;
+
+lb::LoadBalancer& Scenario::balancer() { return core_->balancer(); }
+const ScenarioConfig& Scenario::config() const { return core_->config(); }
+lb::HermesLb* Scenario::hermes() { return core_->hermes(); }
+faults::FaultScheduler* Scenario::fault_scheduler() { return core_->fault_scheduler(); }
+faults::InvariantChecker* Scenario::invariants() { return core_->invariants(); }
+
+const std::unordered_map<std::uint64_t, transport::FlowSpec>& Scenario::active_flows() const {
+  return core_->flows().live();
+}
+
+std::vector<std::uint64_t> Scenario::sorted_active_ids() const {
+  return core_->flows().sorted_ids();
 }
 
 bool Scenario::dump_trace(const std::string& path) const {
@@ -154,75 +86,8 @@ bool Scenario::dump_trace(const std::string& path) const {
   return obs::write_trace(path, *recorder_);
 }
 
-Scenario::~Scenario() = default;
-
-void Scenario::build_balancer() {
-  switch (config_.scheme) {
-    case Scheme::kEcmp:
-      lb_ = std::make_unique<lb::EcmpLb>(*topo_, config_.seed);
-      break;
-    case Scheme::kDrb:
-      lb_ = std::make_unique<lb::SprayLb>(
-          *topo_, lb::SprayConfig{.cell_bytes = 0, .weighted = false}, "drb");
-      break;
-    case Scheme::kPrestoStar:
-      lb_ = std::make_unique<lb::SprayLb>(
-          *topo_,
-          lb::SprayConfig{.cell_bytes = config_.presto_cell_bytes,
-                          .weighted = config_.presto_weighted},
-          "presto*");
-      break;
-    case Scheme::kLetFlow:
-      lb_ = std::make_unique<lb::LetFlowLb>(*simulator_, *topo_, config_.letflow);
-      break;
-    case Scheme::kConga:
-      lb_ = std::make_unique<lb::CongaLb>(*simulator_, *topo_, config_.conga);
-      break;
-    case Scheme::kCloveEcn:
-      lb_ = std::make_unique<lb::CloveLb>(*simulator_, *topo_, config_.clove);
-      break;
-    case Scheme::kWcmp:
-      lb_ = std::make_unique<lb::WcmpLb>(*topo_, config_.seed);
-      break;
-    case Scheme::kFlowBender:
-      lb_ = std::make_unique<lb::FlowBenderLb>(*simulator_, *topo_, config_.flowbender);
-      break;
-    case Scheme::kDrill:
-      lb_ = std::make_unique<lb::DrillLb>(*simulator_, *topo_, config_.drill);
-      break;
-    case Scheme::kHermes: {
-      lb::HermesConfig hc = config_.hermes;
-      if (hc.t_rtt_low == sim::SimTime::zero() || hc.t_rtt_high == sim::SimTime::zero() ||
-          hc.delta_rtt == sim::SimTime::zero()) {
-        const auto defaults = lb::HermesConfig::defaults_for(*topo_);
-        if (hc.t_rtt_low == sim::SimTime::zero()) hc.t_rtt_low = defaults.t_rtt_low;
-        if (hc.t_rtt_high == sim::SimTime::zero()) hc.t_rtt_high = defaults.t_rtt_high;
-        if (hc.delta_rtt == sim::SimTime::zero()) hc.delta_rtt = defaults.delta_rtt;
-      }
-      auto h = std::make_unique<lb::HermesLb>(*simulator_, *topo_, hc);
-      hermes_ = h.get();
-      lb_ = std::move(h);
-      break;
-    }
-  }
-}
-
 void Scenario::add_flows(const std::vector<transport::FlowSpec>& flows) {
-  // Upper bound: every scheduled flow in flight at once. Sizing the map
-  // up front removes rehash churn from the middle of the run.
-  active_.reserve(active_.size() + pending_ + flows.size());
-  for (const auto& f : flows) {
-    ++pending_;
-    simulator_->at(f.start, [this, f] {
-      active_.emplace(f.id, f);
-      stacks_[f.src]->start_flow(f, [this, id = f.id](const transport::FlowRecord& r) {
-        collector_.add(r);
-        absorb(r);
-        active_.erase(id);
-        if (--pending_ == 0) simulator_->stop();
-      });
-    });
-  }
+  core_->flows().add_flows(flows);
 }
 
 std::uint64_t Scenario::add_flow(std::int32_t src, std::int32_t dst, std::uint64_t size,
@@ -237,66 +102,37 @@ std::uint64_t Scenario::add_flow(std::int32_t src, std::int32_t dst, std::uint64
   return f.id;
 }
 
-std::vector<std::uint64_t> Scenario::sorted_active_ids() const {
-  // active_ is an unordered_map; anything that feeds results (collector
-  // records, invariant snapshots) must not inherit its hash order, or
-  // fixed-seed output would differ across standard libraries.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(active_.size());
-  for (const auto& [id, spec] : active_) {  // hermeslint:allow(determinism.unordered-iter) key harvest only; sorted on the next line before anything consumes the order
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 stats::FctCollector Scenario::run() {
-  simulator_->run_until(config_.max_sim_time);
-  // Whatever is still active never finished within the time cap; pull the
-  // live sender counters so unfinished records still carry timeout and
-  // retransmission statistics, in flow-id order (not hash order) so the
-  // emitted record stream is byte-stable across library versions.
-  for (const std::uint64_t id : sorted_active_ids()) {
-    const transport::FlowSpec& spec = active_.at(id);
-    if (transport::TcpSender* snd = stacks_[spec.src]->sender(id)) {
-      transport::FlowRecord r = snd->record();
-      r.finished = false;
-      r.end = simulator_->now();
-      collector_.add(r);
-      absorb(r);
-    } else {
-      collector_.add_unfinished(spec.size, spec.start, simulator_->now());
-      ++transport_totals_.flows_unfinished;
-    }
-  }
-  // Flows scheduled but never started also count as unfinished.
+  simulator_->run_until(config().max_sim_time);
+  core_->flows().harvest(simulator_->now());
   maybe_dump_triage();
-  return std::move(collector_);
+  return std::move(core_->flows().collector());
 }
 
 void Scenario::maybe_dump_triage() {
-  if (!config_.obs.dump_on_violation || !recorder_) return;
-  const bool violated = checker_ && !checker_->ok();
-  const bool stranded = transport_totals_.flows_unfinished > 0;
+  const ScenarioConfig& cfg = config();
+  if (!cfg.obs.dump_on_violation || !recorder_) return;
+  const faults::InvariantChecker* checker = core_->invariants();
+  const std::uint64_t unfinished = core_->flows().totals().flows_unfinished;
+  const bool violated = checker != nullptr && !checker->ok();
+  const bool stranded = unfinished > 0;
   if (!violated && !stranded) return;
-  triage_path_ = config_.obs.dump_path.empty()
-                     ? "FUZZ_" + std::to_string(config_.seed) + ".htrc"
-                     : config_.obs.dump_path;
+  triage_path_ = cfg.obs.dump_path.empty() ? "FUZZ_" + std::to_string(cfg.seed) + ".htrc"
+                                            : cfg.obs.dump_path;
   if (!dump_trace(triage_path_)) {
     triage_path_.clear();
     return;
   }
   // One line per failing run, stderr, grep-able: what fired, where the
   // flight-recorder ring went, and the command that replays the seed.
-  const std::string why = violated ? checker_->violations().front().what
-                                   : std::to_string(transport_totals_.flows_unfinished) +
-                                         " unfinished flows at time cap";
+  const std::string why = violated ? checker->violations().front().what
+                                   : std::to_string(unfinished) + " unfinished flows at time cap";
   std::fprintf(stderr,
                "[triage] seed=%llu scheme=%s: %s\n"
                "[triage]   trace: %s  repro: hermesfuzz --seed=%llu --scheme=%s\n",
-               static_cast<unsigned long long>(config_.seed), to_string(config_.scheme),
-               why.c_str(), triage_path_.c_str(),
-               static_cast<unsigned long long>(config_.seed), to_string(config_.scheme));
+               static_cast<unsigned long long>(cfg.seed), to_string(cfg.scheme), why.c_str(),
+               triage_path_.c_str(), static_cast<unsigned long long>(cfg.seed),
+               to_string(cfg.scheme));
 }
 
 void Scenario::run_for(sim::SimTime duration) {

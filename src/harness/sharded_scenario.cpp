@@ -1,24 +1,16 @@
 #include "hermes/harness/sharded_scenario.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "hermes/lb/clove.hpp"
-#include "hermes/lb/ecmp.hpp"
-#include "hermes/lb/flowbender.hpp"
-#include "hermes/lb/letflow.hpp"
-#include "hermes/lb/spray.hpp"
-#include "hermes/lb/wcmp.hpp"
+#include "hermes/harness/shard_core.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/trace_io.hpp"
-#include "hermes/transport/tcp_sender.hpp"
 
 namespace hermes::harness {
 
@@ -34,18 +26,28 @@ std::uint64_t shard_seed(std::uint64_t seed, int shard) {
   return z ^ (z >> 31);
 }
 
+/// The scheme parameters of a sharded run as the config one shard's core
+/// reads: its own seed and its own slice of the fault plan.
+ScenarioConfig shard_config(const ShardedScenarioConfig& c, std::uint64_t seed,
+                            faults::FaultPlan plan) {
+  ScenarioConfig sc;
+  sc.scheme = c.scheme;
+  sc.tcp = c.tcp;
+  sc.hermes = c.hermes;
+  sc.clove = c.clove;
+  sc.letflow = c.letflow;
+  sc.flowbender = c.flowbender;
+  sc.presto_weighted = c.presto_weighted;
+  sc.presto_cell_bytes = c.presto_cell_bytes;
+  sc.seed = seed;
+  sc.fault_plan = std::move(plan);
+  return sc;
+}
+
 }  // namespace
 
 ShardedScenario::ShardedScenario(ShardedScenarioConfig config) : config_{std::move(config)} {
-  if (!config_.tcp.dctcp) config_.fabric.ecn_enabled = false;
-  if (config_.scheme == Scheme::kPrestoStar || config_.scheme == Scheme::kDrb) {
-    config_.tcp.reorder_buffer = true;
-  }
-  if (config_.scheme == Scheme::kConga || config_.scheme == Scheme::kDrill) {
-    throw std::invalid_argument(
-        "ShardedScenario: CONGA/DRILL read global fabric state and are serial-only");
-  }
-
+  normalize_config(config_.scheme, config_.tcp, config_.fabric.ecn_enabled);
   const int S = std::clamp(config_.num_shards, 1, config_.fabric.k);
   config_.num_shards = S;
   sims_.reserve(static_cast<std::size_t>(S));
@@ -56,9 +58,6 @@ ShardedScenario::ShardedScenario(ShardedScenarioConfig config) : config_{std::mo
   raw.reserve(sims_.size());
   for (auto& s : sims_) raw.push_back(s.get());
   fabric_ = std::make_unique<net::FatTree>(std::move(raw), config_.fabric);
-  shard_states_.resize(static_cast<std::size_t>(S));
-
-  build_balancers();
 
   // No sharded scheme consumes in-band CONGA stamps; skip the DRE reads.
   for (int e = 0; e < fabric_->num_leaves(); ++e) fabric_->leaf(e).conga_stamping = false;
@@ -67,106 +66,58 @@ ShardedScenario::ShardedScenario(ShardedScenarioConfig config) : config_{std::mo
   }
   for (int c = 0; c < fabric_->num_cores(); ++c) fabric_->spine(c).conga_stamping = false;
 
-  stacks_.reserve(static_cast<std::size_t>(fabric_->num_hosts()));
-  for (int h = 0; h < fabric_->num_hosts(); ++h) {
-    const int s = fabric_->shard_of_host(h);
-    stacks_.push_back(std::make_unique<transport::HostStack>(*sims_[s], *fabric_, h,
-                                                             *lbs_[s], config_.tcp));
-  }
-
-  // Hermes probing: each shard's instance probes only from the rack
-  // agents that shard owns, and the replies return to those same agents —
-  // probe traffic and probe state never cross a shard boundary except as
-  // ordinary packets through the mailbox.
-  for (int s = 0; s < S; ++s) {
-    if (hermes_[s] == nullptr) continue;
-    hermes_[s]->set_probe_sources(fabric_->leaves_of_shard(s));
-    hermes_[s]->enable_probing(
-        [this](int src_host, net::Packet p) { stacks_[src_host]->send_raw(std::move(p)); });
-    for (const int l : fabric_->leaves_of_shard(s)) {
-      const int agent = fabric_->first_host_of_leaf(l);
-      stacks_[agent]->on_probe_reply = [h = hermes_[s]](const net::Packet& p) {
-        h->on_probe_reply(p);
-      };
+  if (config_.obs.enabled) {
+    std::vector<obs::FlightRecorder*> recs;
+    for (int s = 0; s < num_shards(); ++s) {
+      recorders_.push_back(
+          std::make_unique<obs::FlightRecorder>(config_.obs.ring_capacity, &trace_names_));
+      recorders_[s]->set_shard(static_cast<std::uint8_t>(s));
+      recs.push_back(recorders_[s].get());
     }
+    if (config_.obs.trace_packets) fabric_->set_recorders(recs);
   }
 
   // Faults: split the plan by the single shard whose event stream owns
   // the targeted device, so every mutation happens inside that shard's
   // rounds (edge switch / edge<->agg link -> the pod's shard; core
   // switch -> the core's shard).
-  if (!config_.fault_plan.empty()) {
-    std::vector<faults::FaultPlan> sub(static_cast<std::size_t>(S));
-    for (const faults::FaultEvent& e : config_.fault_plan.events()) {
-      sub[static_cast<std::size_t>(fault_owner_shard(e))].add(e);
-    }
-    fault_scheds_.resize(static_cast<std::size_t>(S));
-    for (int s = 0; s < S; ++s) {
-      if (sub[s].empty()) continue;
-      fault_scheds_[s] = std::make_unique<faults::FaultScheduler>(*sims_[s], *fabric_);
-      fault_scheds_[s]->install(sub[s]);
-    }
+  std::vector<faults::FaultPlan> plans(static_cast<std::size_t>(S));
+  for (const faults::FaultEvent& e : config_.fault_plan.events()) {
+    plans[static_cast<std::size_t>(fault_owner_shard(e))].add(e);
   }
 
-  wire_observability();
+  stacks_.resize(static_cast<std::size_t>(fabric_->num_hosts()));
+  for (int s = 0; s < num_shards(); ++s) {
+    shard_cores_.push_back(std::make_unique<ShardCore>(
+        shard_config(config_, shard_seed(config_.seed, s), std::move(plans[s])), *sims_[s],
+        *fabric_, fabric_->leaves_of_shard(s), stacks_, recorder(s),
+        /*stop_when_drained=*/false));
+  }
+
+  std::vector<ShardCore*> cores;
+  for (auto& c : shard_cores_) cores.push_back(c.get());
+  register_core_metrics(metrics_, std::move(cores));
+  fabric_->register_metrics(metrics_);
+  metrics_.gauge_fn("sharding.shards", [this] { return static_cast<double>(num_shards()); });
+  metrics_.gauge_fn("sharding.threads", [this] { return static_cast<double>(threads_used_); });
+  metrics_.counter_fn("sharding.rounds", [this] { return exec_stats_.rounds; });
+  metrics_.counter_fn("sharding.boundary_packets",
+                      [this] { return fabric_->boundary_packets(); });
+  metrics_.gauge_fn("sharding.horizon_mean_ns", [this] {
+    return exec_stats_.rounds == 0
+               ? 0.0
+               : static_cast<double>(exec_stats_.horizon_ns_total) /
+                     static_cast<double>(exec_stats_.rounds);
+  });
+  for (int s = 0; s < num_shards(); ++s) {
+    metrics_.counter_fn("sharding.shard" + std::to_string(s) + ".events",
+                        [this, s] { return sims_[s]->events().events_processed(); });
+  }
 }
 
 ShardedScenario::~ShardedScenario() = default;
 
-void ShardedScenario::build_balancers() {
-  const int S = num_shards();
-  lbs_.resize(static_cast<std::size_t>(S));
-  hermes_.assign(static_cast<std::size_t>(S), nullptr);
-  lb::HermesConfig hc = config_.hermes;
-  if (config_.scheme == Scheme::kHermes &&
-      (hc.t_rtt_low == sim::SimTime::zero() || hc.t_rtt_high == sim::SimTime::zero() ||
-       hc.delta_rtt == sim::SimTime::zero())) {
-    const auto defaults = lb::HermesConfig::defaults_for(*fabric_);
-    if (hc.t_rtt_low == sim::SimTime::zero()) hc.t_rtt_low = defaults.t_rtt_low;
-    if (hc.t_rtt_high == sim::SimTime::zero()) hc.t_rtt_high = defaults.t_rtt_high;
-    if (hc.delta_rtt == sim::SimTime::zero()) hc.delta_rtt = defaults.delta_rtt;
-  }
-  for (int s = 0; s < S; ++s) {
-    const std::uint64_t seed = shard_seed(config_.seed, s);
-    switch (config_.scheme) {
-      case Scheme::kEcmp:
-        lbs_[s] = std::make_unique<lb::EcmpLb>(*fabric_, seed);
-        break;
-      case Scheme::kWcmp:
-        lbs_[s] = std::make_unique<lb::WcmpLb>(*fabric_, seed);
-        break;
-      case Scheme::kDrb:
-        lbs_[s] = std::make_unique<lb::SprayLb>(
-            *fabric_, lb::SprayConfig{.cell_bytes = 0, .weighted = false}, "drb");
-        break;
-      case Scheme::kPrestoStar:
-        lbs_[s] = std::make_unique<lb::SprayLb>(
-            *fabric_,
-            lb::SprayConfig{.cell_bytes = config_.presto_cell_bytes,
-                            .weighted = config_.presto_weighted},
-            "presto*");
-        break;
-      case Scheme::kLetFlow:
-        lbs_[s] = std::make_unique<lb::LetFlowLb>(*sims_[s], *fabric_, config_.letflow);
-        break;
-      case Scheme::kCloveEcn:
-        lbs_[s] = std::make_unique<lb::CloveLb>(*sims_[s], *fabric_, config_.clove);
-        break;
-      case Scheme::kFlowBender:
-        lbs_[s] = std::make_unique<lb::FlowBenderLb>(*sims_[s], *fabric_, config_.flowbender);
-        break;
-      case Scheme::kHermes: {
-        auto h = std::make_unique<lb::HermesLb>(*sims_[s], *fabric_, hc);
-        hermes_[s] = h.get();
-        lbs_[s] = std::move(h);
-        break;
-      }
-      case Scheme::kConga:
-      case Scheme::kDrill:
-        break;  // rejected in the constructor
-    }
-  }
-}
+lb::HermesLb* ShardedScenario::hermes(int shard) { return shard_cores_[shard]->hermes(); }
 
 int ShardedScenario::fault_owner_shard(const faults::FaultEvent& e) const {
   switch (e.action) {
@@ -184,151 +135,16 @@ int ShardedScenario::fault_owner_shard(const faults::FaultEvent& e) const {
   return 0;
 }
 
-void ShardedScenario::wire_observability() {
-  const int S = num_shards();
-  if (config_.obs.enabled) {
-    recorders_.reserve(static_cast<std::size_t>(S));
-    std::vector<obs::FlightRecorder*> raw;
-    for (int s = 0; s < S; ++s) {
-      recorders_.push_back(
-          std::make_unique<obs::FlightRecorder>(config_.obs.ring_capacity, &trace_names_));
-      recorders_.back()->set_shard(static_cast<std::uint8_t>(s));
-      raw.push_back(recorders_.back().get());
-    }
-    if (config_.obs.trace_packets) fabric_->set_recorders(raw);
-    for (int s = 0; s < S; ++s) {
-      if (hermes_[s] != nullptr) hermes_[s]->set_recorder(raw[s]);
-      if (s < static_cast<int>(fault_scheds_.size()) && fault_scheds_[s]) {
-        fault_scheds_[s]->set_recorder(raw[s]);
-      }
-    }
-  }
-
-  metrics_.counter_fn("sim.events_processed", [this] { return events_processed(); });
-  fabric_->register_metrics(metrics_);
-
-  // Aggregated views: the registry keys one reader per name, so the
-  // per-shard instances cannot each register — the harness sums them.
-  if (config_.scheme == Scheme::kHermes) {
-    const auto dsum = [this](std::uint64_t engine::DecisionStats::* f) {
-      std::uint64_t total = 0;
-      for (const lb::HermesLb* h : hermes_) total += h->decision_stats().*f;
-      return total;
-    };
-    metrics_.counter_fn("lb.initial_placements",
-                        [dsum] { return dsum(&engine::DecisionStats::initial_placements); });
-    metrics_.counter_fn("lb.timeout_escapes",
-                        [dsum] { return dsum(&engine::DecisionStats::timeout_escapes); });
-    metrics_.counter_fn("lb.failure_escapes",
-                        [dsum] { return dsum(&engine::DecisionStats::failure_escapes); });
-    metrics_.counter_fn("lb.congestion_reroutes",
-                        [dsum] { return dsum(&engine::DecisionStats::congestion_reroutes); });
-    metrics_.counter_fn("lb.blackhole_latches",
-                        [dsum] { return dsum(&engine::DecisionStats::blackhole_latches); });
-    metrics_.counter_fn("lb.latch_expiries",
-                        [dsum] { return dsum(&engine::DecisionStats::latch_expiries); });
-    const auto psum = [this](std::uint64_t lb::ProbeStats::* f) {
-      std::uint64_t total = 0;
-      for (const lb::HermesLb* h : hermes_) total += h->probe_stats().*f;
-      return total;
-    };
-    metrics_.counter_fn("lb.probes_sent", [psum] { return psum(&lb::ProbeStats::probes_sent); });
-    metrics_.counter_fn("lb.probe_replies",
-                        [psum] { return psum(&lb::ProbeStats::replies_received); });
-    metrics_.counter_fn("lb.probe_bytes", [psum] { return psum(&lb::ProbeStats::probe_bytes); });
-  }
-  if (!fault_scheds_.empty()) {
-    metrics_.counter_fn("faults.installed", [this] {
-      std::uint64_t total = 0;
-      for (const auto& fs : fault_scheds_)
-        if (fs) total += fs->applied() + fs->pending();
-      return total;
-    });
-    metrics_.counter_fn("faults.applied", [this] {
-      std::uint64_t total = 0;
-      for (const auto& fs : fault_scheds_)
-        if (fs) total += fs->applied();
-      return total;
-    });
-    metrics_.gauge_fn("faults.active", [this] {
-      int total = 0;
-      for (const auto& fs : fault_scheds_)
-        if (fs) total += fs->active_faults();
-      return static_cast<double>(total);
-    });
-  }
-
-  const auto tsum = [this](std::uint64_t ShardState::* f) {
-    std::uint64_t total = 0;
-    for (const ShardState& st : shard_states_) total += st.*f;
-    return total;
-  };
-  metrics_.counter_fn("transport.flows_completed",
-                      [tsum] { return tsum(&ShardState::flows_completed); });
-  metrics_.counter_fn("transport.flows_unfinished",
-                      [tsum] { return tsum(&ShardState::flows_unfinished); });
-  metrics_.counter_fn("transport.timeouts", [tsum] { return tsum(&ShardState::timeouts); });
-  metrics_.counter_fn("transport.fast_retransmits",
-                      [tsum] { return tsum(&ShardState::fast_retransmits); });
-  metrics_.counter_fn("transport.packets_sent",
-                      [tsum] { return tsum(&ShardState::packets_sent); });
-  metrics_.counter_fn("transport.packets_retransmitted",
-                      [tsum] { return tsum(&ShardState::packets_retransmitted); });
-  metrics_.counter_fn("transport.reroutes", [tsum] { return tsum(&ShardState::reroutes); });
-
-  metrics_.gauge_fn("sharding.shards", [this] { return static_cast<double>(num_shards()); });
-  metrics_.gauge_fn("sharding.threads", [this] { return static_cast<double>(threads_used_); });
-  metrics_.counter_fn("sharding.rounds", [this] { return exec_stats_.rounds; });
-  metrics_.counter_fn("sharding.boundary_packets",
-                      [this] { return fabric_->boundary_packets(); });
-  metrics_.gauge_fn("sharding.horizon_mean_ns", [this] {
-    return exec_stats_.rounds == 0
-               ? 0.0
-               : static_cast<double>(exec_stats_.horizon_ns_total) /
-                     static_cast<double>(exec_stats_.rounds);
-  });
-  for (int s = 0; s < S; ++s) {
-    metrics_.counter_fn("sharding.shard" + std::to_string(s) + ".events",
-                        [this, s] { return sims_[s]->events().events_processed(); });
-  }
-}
-
 std::uint64_t ShardedScenario::events_processed() const {
   std::uint64_t total = 0;
   for (const auto& s : sims_) total += s->events().events_processed();
   return total;
 }
 
-void ShardedScenario::absorb(int shard, const transport::FlowRecord& r) {
-  ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
-  if (r.finished) {
-    ++st.flows_completed;
-  } else {
-    ++st.flows_unfinished;
-  }
-  st.timeouts += r.timeouts;
-  st.fast_retransmits += r.fast_retransmits;
-  st.packets_sent += r.packets_sent;
-  st.packets_retransmitted += r.packets_retransmitted;
-  st.reroutes += r.reroutes;
-}
-
 void ShardedScenario::add_flows(const std::vector<transport::FlowSpec>& flows) {
   for (const auto& f : flows) {
     const int shard = fabric_->shard_of_host(f.src);
-    ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
-    ++st.pending;
-    sims_[shard]->at(f.start, [this, f, shard] {
-      ShardState& owner = shard_states_[static_cast<std::size_t>(shard)];
-      owner.live.emplace(f.id, f);
-      stacks_[f.src]->start_flow(f, [this, id = f.id, shard](const transport::FlowRecord& r) {
-        ShardState& owner2 = shard_states_[static_cast<std::size_t>(shard)];
-        owner2.collector.add(r);
-        absorb(shard, r);
-        owner2.live.erase(id);
-        --owner2.pending;
-      });
-    });
+    shard_cores_[static_cast<std::size_t>(shard)]->flows().schedule(f);
   }
 }
 
@@ -344,17 +160,6 @@ std::uint64_t ShardedScenario::add_flow(std::int32_t src, std::int32_t dst, std:
   return f.id;
 }
 
-std::vector<std::uint64_t> ShardedScenario::sorted_active_ids(int shard) const {
-  const ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
-  std::vector<std::uint64_t> ids;
-  ids.reserve(st.live.size());
-  for (const auto& [id, spec] : st.live) {  // hermeslint:allow(determinism.unordered-iter) key harvest only; sorted on the next line before anything consumes the order
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 stats::FctCollector ShardedScenario::run() {
   std::vector<sim::EventQueue*> queues;
   queues.reserve(sims_.size());
@@ -364,7 +169,7 @@ stats::FctCollector ShardedScenario::run() {
   exec.run_until(config_.max_sim_time, [this] {
     fabric_->exchange_boundary();
     std::size_t pending = 0;
-    for (const ShardState& st : shard_states_) pending += st.pending;
+    for (const auto& core : shard_cores_) pending += core->flows().pending();
     return pending > 0;
   });
   exec_stats_ = exec.stats();
@@ -375,21 +180,9 @@ stats::FctCollector ShardedScenario::run() {
   // interleaving.
   std::vector<transport::FlowRecord> all;
   for (int s = 0; s < num_shards(); ++s) {
-    ShardState& st = shard_states_[static_cast<std::size_t>(s)];
-    for (const std::uint64_t id : sorted_active_ids(s)) {
-      const transport::FlowSpec& spec = st.live.at(id);
-      if (transport::TcpSender* snd = stacks_[spec.src]->sender(id)) {
-        transport::FlowRecord r = snd->record();
-        r.finished = false;
-        r.end = config_.max_sim_time;
-        st.collector.add(r);
-        absorb(s, r);
-      } else {
-        st.collector.add_unfinished(spec.size, spec.start, config_.max_sim_time);
-        ++st.flows_unfinished;
-      }
-    }
-    const auto& recs = st.collector.records();
+    FlowBook& book = shard_cores_[s]->flows();
+    book.harvest(config_.max_sim_time);
+    const auto& recs = book.collector().records();
     all.insert(all.end(), recs.begin(), recs.end());
   }
   std::sort(all.begin(), all.end(),

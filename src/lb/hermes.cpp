@@ -193,18 +193,4 @@ void HermesLb::on_decision(const engine::DecisionEvent& ev) {
   rec_->append(r);
 }
 
-void HermesLb::register_metrics(obs::MetricsRegistry& reg) {
-  reg.counter_fn("lb.initial_placements", [this] { return engine_.stats().initial_placements; });
-  reg.counter_fn("lb.timeout_escapes", [this] { return engine_.stats().timeout_escapes; });
-  reg.counter_fn("lb.failure_escapes", [this] { return engine_.stats().failure_escapes; });
-  reg.counter_fn("lb.congestion_reroutes",
-                 [this] { return engine_.stats().congestion_reroutes; });
-  reg.counter_fn("lb.blackhole_latches", [this] { return engine_.stats().blackhole_latches; });
-  reg.counter_fn("lb.latch_expiries", [this] { return engine_.stats().latch_expiries; });
-  reg.counter_fn("lb.probes_sent", [this] { return probe_stats_.probes_sent; });
-  reg.counter_fn("lb.probe_replies", [this] { return probe_stats_.replies_received; });
-  reg.counter_fn("lb.probe_bytes", [this] { return probe_stats_.probe_bytes; });
-  latch_hist_ = &reg.histogram("lb.latch_lifetime_us");
-}
-
 }  // namespace hermes::lb

@@ -163,9 +163,9 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
     rec_ = rec;
     name_id_ = rec != nullptr ? rec->intern("hermes") : 0;
   }
-  /// Register "lb.*" decision/probe counters and the latch-lifetime
-  /// histogram with the scenario's registry.
-  void register_metrics(obs::MetricsRegistry& reg);
+  /// Observe every latch lifetime (us) into `hist` (null detaches). The
+  /// "lb.*" counters are read through decision_stats()/probe_stats().
+  void set_latch_histogram(obs::Histogram* hist) { latch_hist_ = hist; }
   [[nodiscard]] const engine::DecisionStats& decision_stats() const { return engine_.stats(); }
 
   // --- introspection (tests, traces, benches) ---------------------------
@@ -205,7 +205,7 @@ class HermesLb final : public LoadBalancer, private engine::DecisionSink {
 
   obs::FlightRecorder* rec_ = nullptr;   ///< null when observability is off
   std::uint32_t name_id_ = 0;            ///< interned "hermes", valid while rec_ set
-  obs::Histogram* latch_hist_ = nullptr; ///< latch lifetimes (us), null until registered
+  obs::Histogram* latch_hist_ = nullptr; ///< latch lifetimes (us), null until set
 };
 
 }  // namespace hermes::lb

@@ -23,7 +23,7 @@ namespace hermes::net {
 class Host : public Device {
  public:
   /// Delivery hook type. Fixed inline storage (no heap): the transport
-  /// stack captures `this`, the invariant checker `this` + an index.
+  /// stack captures `this`.
   static constexpr std::size_t kReceiveHookCapacity = 48;
   using ReceiveFn = sim::InlineCallable<kReceiveHookCapacity, void(Packet, int)>;
 

@@ -13,7 +13,6 @@
 #include "hermes/net/packet_ring.hpp"
 #include "hermes/obs/flight_recorder.hpp"
 #include "hermes/obs/records.hpp"
-#include "hermes/sim/inline_function.hpp"
 #include "hermes/sim/rng.hpp"
 #include "hermes/sim/simulator.hpp"
 
@@ -65,12 +64,6 @@ struct PortStats {
 /// deadline, and one drain event delivers every packet that is due.
 class Port {
  public:
-  /// Per-packet observer hook. Fixed inline storage, no heap fallback:
-  /// an observer capturing more than kHookCapacity bytes is a compile
-  /// error, never a per-install allocation (see sim::InlineCallable).
-  static constexpr std::size_t kHookCapacity = 48;
-  using Hook = sim::InlineCallable<kHookCapacity, void(const Packet&)>;
-
   Port(sim::Simulator& simulator, PacketArena& arena, std::string name, PortConfig config,
        Device* peer, int peer_in_port);
 
@@ -125,15 +118,6 @@ class Port {
   /// True when admission goes through a shared BufferPool instead of the
   /// static per-port capacity (invariant checker picks the right bound).
   [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
-
-  /// Optional per-packet observers (tests, TraceLog, InvariantChecker).
-  /// Null by default; the hot path pays one branch each.
-  Hook on_drop;
-  Hook on_enqueue;
-  Hook on_transmit;
-
-  /// Current simulation time (for observers that only hold the port).
-  [[nodiscard]] sim::SimTime now() const { return simulator_.now(); }
 
   /// Switch to shared-buffer admission: the static per-port capacity is
   /// replaced by the pool's (dynamic-threshold) policy. The pool must

@@ -76,7 +76,6 @@ void Port::send(PacketHandle h) {
     stats_.drop_bytes += p.size;
     ++stats_.link_down_drops;
     if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kDrop, p);
-    if (on_drop) on_drop(p);
     arena_.free(h);
     return;
   }
@@ -86,7 +85,6 @@ void Port::send(PacketHandle h) {
     ++stats_.drops;
     stats_.drop_bytes += p.size;
     if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kDrop, p);
-    if (on_drop) on_drop(p);
     arena_.free(h);
     return;
   }
@@ -98,11 +96,9 @@ void Port::send(PacketHandle h) {
     ++stats_.ecn_marks;
   }
   backlog_bytes_ += p.size;
-  // Trace observers and the flight recorder are null in every
-  // non-instrumented run: the hot path pays exactly one
-  // predicted-not-taken branch per hook.
+  // The flight recorder is null in every non-instrumented run: the hot
+  // path pays exactly one predicted-not-taken branch.
   if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kEnqueue, p);
-  if (on_enqueue) [[unlikely]] on_enqueue(p);
   // hermeslint:reserve-audited(ring doubles geometrically; steady state never grows)
   (p.priority > 0 ? hi_ : lo_).push(h, p.size);
   try_transmit();
@@ -123,7 +119,6 @@ void Port::try_transmit() {
   ++stats_.tx_packets;
   stats_.tx_bytes += bytes;
   if (rec_) [[unlikely]] record_packet(obs::PacketEvent::kTransmit, arena_[h]);
-  if (on_transmit) [[unlikely]] on_transmit(arena_[h]);
   const auto tx = tx_time_cached(bytes);
   // The packet rides "the wire" until tx + propagation. Its delivery
   // deadline is recorded with the wire entry; the serialization-done

@@ -1,17 +1,20 @@
-// Tests for the library extensions: WCMP, CSV export, the packet-event
-// TraceLog, and shared-buffer (Dynamic Threshold) switches.
+// Tests for the library extensions: WCMP, CSV export, per-port packet
+// traces through the flight recorder, and shared-buffer (Dynamic
+// Threshold) switches.
 
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <string>
+#include <vector>
 
 #include <map>
 
 #include "hermes/harness/scenario.hpp"
 #include "hermes/lb/wcmp.hpp"
 #include "hermes/net/buffer_pool.hpp"
-#include "hermes/net/trace_log.hpp"
+#include "hermes/obs/flight_recorder.hpp"
+#include "hermes/obs/records.hpp"
 #include "hermes/stats/csv.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
@@ -150,26 +153,41 @@ TEST(Csv, WriteFileRoundTrip) {
   std::remove(path.c_str());
 }
 
-// --- TraceLog ---------------------------------------------------------------
+// --- Port packet trace (flight recorder) -----------------------------------
+
+std::size_t count_event(const obs::FlightRecorder& rec, obs::PacketEvent ev) {
+  std::size_t n = 0;
+  for (const obs::TraceRecord& r : rec.snapshot()) {
+    if (r.kind == obs::RecordKind::kPacket && r.u.packet.event == static_cast<std::uint8_t>(ev)) {
+      ++n;
+    }
+  }
+  return n;
+}
 
 TEST(TraceLogTest, RecordsLifecycleOfEveryPacket) {
   harness::ScenarioConfig cfg;
   cfg.topo.num_leaves = 2;
   cfg.topo.num_spines = 1;
   cfg.topo.hosts_per_leaf = 1;
+  obs::FlightRecorder rec;  // outlives the port that records into it
   harness::Scenario s{cfg};
-  net::TraceLog log;
-  log.attach(s.topology().host(0).nic());
+  s.topology().host(0).nic().set_recorder(&rec);
   const auto id = s.add_flow(0, 1, 100'000, usec(0));
   s.run();
+  ASSERT_EQ(rec.overwritten(), 0u);
   // Every data packet was enqueued and transmitted at the NIC.
-  EXPECT_EQ(log.count(net::TraceEvent::kEnqueue), log.count(net::TraceEvent::kTransmit));
-  EXPECT_GE(log.count(net::TraceEvent::kEnqueue), 100'000u / 1460u);
-  EXPECT_EQ(log.count(net::TraceEvent::kDrop), 0u);
-  const auto mine = log.entries_for_flow(id);
-  EXPECT_EQ(mine.size(), log.entries().size());  // only this flow ran
-  // Timestamps are nondecreasing.
-  for (std::size_t i = 1; i < mine.size(); ++i) EXPECT_GE(mine[i].time, mine[i - 1].time);
+  EXPECT_EQ(count_event(rec, obs::PacketEvent::kEnqueue),
+            count_event(rec, obs::PacketEvent::kTransmit));
+  EXPECT_GE(count_event(rec, obs::PacketEvent::kEnqueue), 100'000u / 1460u);
+  EXPECT_EQ(count_event(rec, obs::PacketEvent::kDrop), 0u);
+  const std::vector<obs::TraceRecord> all = rec.snapshot();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].flow_id, id);  // only this flow ran
+    if (i > 0) {
+      EXPECT_GE(all[i].time_ns, all[i - 1].time_ns);
+    }
+  }
 }
 
 TEST(TraceLogTest, DropsAreRecorded) {
@@ -187,16 +205,18 @@ TEST(TraceLogTest, DropsAreRecorded) {
     net::PacketArena& arena_;
   } dev{arena};
   net::Port port{simulator, arena, "p", pc, &dev, 0};
-  net::TraceLog log;
-  log.attach(port);
+  obs::FlightRecorder rec;
+  port.set_recorder(&rec);
   for (int i = 0; i < 10; ++i) {
     net::Packet p;
     p.size = 1500;
     port.send(std::move(p));
   }
   simulator.run();
-  EXPECT_GT(log.count(net::TraceEvent::kDrop), 0u);
-  EXPECT_EQ(log.count(net::TraceEvent::kDrop) + log.count(net::TraceEvent::kEnqueue), 10u);
+  EXPECT_GT(count_event(rec, obs::PacketEvent::kDrop), 0u);
+  EXPECT_EQ(count_event(rec, obs::PacketEvent::kDrop) +
+                count_event(rec, obs::PacketEvent::kEnqueue),
+            10u);
 }
 
 TEST(TraceLogTest, TextRenderingContainsEvents) {
@@ -212,18 +232,21 @@ TEST(TraceLogTest, TextRenderingContainsEvents) {
     net::PacketArena& arena_;
   } dev{arena};
   net::Port port{simulator, arena, "leaf9:p3", pc, &dev, 0};
-  net::TraceLog log;
-  log.attach(port);
+  obs::FlightRecorder rec;
+  port.set_recorder(&rec);
   net::Packet p;
   p.id = 42;
   p.flow_id = 9;
   p.size = 1500;
   port.send(std::move(p));
   simulator.run();
-  const auto text = log.to_text();
-  EXPECT_NE(text.find("ENQ"), std::string::npos);
-  EXPECT_NE(text.find("leaf9:p3"), std::string::npos);
-  EXPECT_NE(text.find("pkt=42"), std::string::npos);
+  const std::vector<obs::TraceRecord> all = rec.snapshot();
+  ASSERT_FALSE(all.empty());
+  const obs::TraceRecord& enq = all.front();
+  EXPECT_EQ(enq.u.packet.event, static_cast<std::uint8_t>(obs::PacketEvent::kEnqueue));
+  EXPECT_EQ(rec.names().name(enq.name), "leaf9:p3");  // interned once, at set_recorder
+  EXPECT_EQ(enq.u.packet.packet_id, 42u);
+  EXPECT_EQ(enq.flow_id, 9u);
 }
 
 // --- Dynamic Threshold shared buffer ---------------------------------------

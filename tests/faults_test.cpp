@@ -17,6 +17,9 @@
 #include "hermes/faults/invariant_checker.hpp"
 #include "hermes/faults/random_faults.hpp"
 #include "hermes/harness/scenario.hpp"
+#include "hermes/net/topology.hpp"
+#include "hermes/obs/flight_recorder.hpp"
+#include "hermes/obs/records.hpp"
 #include "hermes/workload/flow_gen.hpp"
 
 namespace hermes::faults {
@@ -386,6 +389,78 @@ TEST(InvariantChecker, ConservationHoldsUnderEveryFaultKind) {
   EXPECT_EQ(fct.unfinished_flows(), 0u);  // faults were transient
   // The blackhole + random drops must appear in the drop accounting.
   EXPECT_GT(inv->dropped_bytes(), 0u);
+}
+
+// The checker sums port and switch counters; the flight recorder logs
+// every port's packet events independently. On a faulted run, drained so
+// nothing is left in flight, both views must agree byte for byte: a
+// counter that missed a drop or a delivery shows up here even when the
+// checker's own equation still balances.
+TEST(InvariantChecker, CounterSumsMatchFlightRecorderPacketRecords) {
+  harness::ScenarioConfig cfg;
+  cfg.topo = small_topo();
+  cfg.scheme = harness::Scheme::kHermes;
+  cfg.hermes.probing_enabled = false;  // no traffic once the flows end
+  cfg.check_invariants = true;
+  cfg.max_sim_time = sim::sec(5);
+  cfg.obs.enabled = true;
+  cfg.obs.ring_capacity = 1u << 18;
+  cfg.fault_plan.transient_blackhole(msec(1), msec(30), 0, rack_pair_blackhole(2, 0, 1));
+  cfg.fault_plan.transient_random_drop(msec(2), msec(25), 1, 0.05);
+  harness::Scenario s{cfg};
+  s.add_flow(0, 2, 5'000'000, usec(0));
+  s.add_flow(3, 1, 5'000'000, usec(0));
+  const auto fct = s.run();
+  EXPECT_EQ(fct.unfinished_flows(), 0u);
+  s.run_for(msec(50));
+
+  const faults::InvariantChecker& inv = *s.invariants();
+  const obs::FlightRecorder& rec = *s.recorder();
+  ASSERT_EQ(rec.overwritten(), 0u) << "ring too small to hold every record";
+  ASSERT_EQ(inv.in_flight_bytes(), 0u) << "run did not drain";
+
+  enum class Where : std::uint8_t { kNic, kToHost, kFabric };
+  std::map<std::uint32_t, Where> where;
+  net::Topology& topo = s.topology();
+  for (int h = 0; h < topo.num_hosts(); ++h) {
+    where[rec.names().find(topo.host(h).nic().name())] = Where::kNic;
+  }
+  const auto classify = [&](net::Switch& sw, bool leaf) {
+    for (int p = 0; p < sw.num_ports(); ++p) {
+      where[rec.names().find(sw.port(p).name())] =
+          leaf && p < topo.hosts_per_leaf() ? Where::kToHost : Where::kFabric;
+    }
+  };
+  for (int l = 0; l < topo.num_leaves(); ++l) classify(topo.leaf(l), true);
+  for (int sp = 0; sp < topo.num_spines(); ++sp) classify(topo.spine(sp), false);
+
+  std::uint64_t injected = 0;       // accepted by a NIC: enqueued or dropped there
+  std::uint64_t delivered = 0;      // transmitted by a port facing a host
+  std::uint64_t port_drops = 0;     // dropped at any port
+  std::uint64_t into_switches = 0;  // transmitted towards a switch
+  std::uint64_t out_of_switches = 0;  // enqueued or dropped at a switch port
+  for (const obs::TraceRecord& r : rec.snapshot()) {
+    if (r.kind != obs::RecordKind::kPacket) continue;
+    const auto ev = static_cast<obs::PacketEvent>(r.u.packet.event);
+    const std::uint64_t bytes = r.u.packet.size;
+    const Where w = where.at(r.name);
+    if (ev == obs::PacketEvent::kDrop) port_drops += bytes;
+    if (ev == obs::PacketEvent::kTransmit) {
+      (w == Where::kToHost ? delivered : into_switches) += bytes;
+    } else if (w == Where::kNic) {
+      injected += bytes;
+    } else {
+      out_of_switches += bytes;
+    }
+  }
+  // With the wires empty, whatever entered a switch and never reached
+  // one of its ports was eaten by an injected switch failure.
+  const std::uint64_t failure_drops = into_switches - out_of_switches;
+  EXPECT_GT(failure_drops, 0u) << "the blackhole and random drop never fired";
+  EXPECT_EQ(inv.injected_bytes(), injected);
+  EXPECT_EQ(inv.delivered_bytes(), delivered);
+  EXPECT_EQ(inv.dropped_bytes(), port_drops + failure_drops);
+  EXPECT_TRUE(inv.ok()) << inv.violations().front().what;
 }
 
 TEST(InvariantChecker, WatchdogCountsStuckFlowsUnderPermanentBlackhole) {

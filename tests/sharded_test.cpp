@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "hermes/faults/fault_plan.hpp"
 
+#include "hermes/harness/scenario.hpp"
 #include "hermes/harness/sharded_scenario.hpp"
 #include "hermes/net/fattree.hpp"
 #include "hermes/sim/event_queue.hpp"
@@ -310,6 +312,52 @@ TEST(Sharded, GoldenHashPinned) {
       << "fixed-seed sharded FCT output changed (" << (ecmp.size() + hermes.size())
       << " bytes) — mailbox/horizon ordering regression, or an intentional "
          "change that must re-record this hash";
+}
+
+/// Metric names in a snapshot_text() dump that start with any of
+/// `prefixes`.
+std::set<std::string> metric_names(const std::string& text,
+                                   const std::vector<std::string>& prefixes) {
+  std::set<std::string> names;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::string name = line.substr(0, line.find(' '));
+    for (const std::string& p : prefixes) {
+      if (name.rfind(p, 0) == 0) names.insert(name);
+    }
+  }
+  return names;
+}
+
+// Both front doors register the per-core layers through one function, so
+// the layers perfbench reads carry the same names serial and sharded.
+// lb.latch_lifetime_us is serial-only: one histogram observed from
+// several shard threads would race.
+TEST(Sharded, ExportsTheSerialScenarioMetricNames) {
+  harness::ScenarioConfig serial_cfg;
+  serial_cfg.topo.num_leaves = 4;
+  serial_cfg.topo.num_spines = 2;
+  serial_cfg.topo.hosts_per_leaf = 2;
+  serial_cfg.scheme = harness::Scheme::kHermes;
+  serial_cfg.fault_plan.transient_random_drop(sim::msec(1), sim::msec(5), 0, 0.01);
+  harness::Scenario serial{serial_cfg};
+
+  auto sharded_cfg = base_config(harness::Scheme::kHermes, 4, 1);
+  sharded_cfg.fault_plan.transient_random_drop(sim::msec(1), sim::msec(5), 0, 0.01);
+  harness::ShardedScenario sharded{sharded_cfg};
+
+  const std::vector<std::string> layers = {"sim.events_processed", "transport.", "lb.",
+                                           "faults."};
+  std::set<std::string> serial_names = metric_names(serial.metrics().snapshot_text(), layers);
+  const std::set<std::string> sharded_names =
+      metric_names(sharded.metrics().snapshot_text(), layers);
+  EXPECT_EQ(serial_names.erase("lb.latch_lifetime_us"), 1u);
+  EXPECT_EQ(serial_names, sharded_names);
+  for (const char* name : {"sim.events_processed", "transport.packets_sent", "lb.probes_sent",
+                           "lb.blackhole_latches", "faults.applied"}) {
+    EXPECT_EQ(sharded_names.count(name), 1u) << name;
+  }
 }
 
 TEST(Sharded, ShardingMetricsAreRegistered) {

@@ -7,14 +7,12 @@
 
 namespace hermes::lint {
 
-/// One lint drive: discover files under root, reuse what the incremental
-/// cache proves unchanged, lex/summarize/lint the rest (fanned out over
-/// `threads`), and persist the refreshed cache.
+/// One lint drive: discover files under root, then lex, summarize and
+/// lint all of them (a cold single-thread pass over the whole tree takes
+/// about 0.1 s).
 struct DriveOptions {
   std::string root = ".";           ///< tree root; result paths are relative to it
   std::vector<std::string> paths;   ///< files or directories, relative to root
-  std::string cache_path;           ///< incremental cache file; empty = no cache
-  int threads = 1;                  ///< worker threads for lex+lint fan-out
   std::string today;                ///< ISO date for expires() checks; empty = off
 };
 
@@ -24,10 +22,7 @@ struct DriveResult {
   bool io_error = false;  ///< an input file could not be read
 };
 
-/// Runs the full pipeline. Summaries are reusable per content hash;
-/// findings additionally require the whole-tree context hash and the
-/// rule-set fingerprint to match the cache — cross-file rules can change
-/// a file's findings without the file itself changing.
+/// Runs the full pipeline over every discovered file.
 DriveResult drive(const DriveOptions& options);
 
 }  // namespace hermes::lint

@@ -1,21 +1,13 @@
 #include "hermes/lint/driver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
-
-#include "hermes/lint/cache.hpp"
-#include "hermes/lint/summary.hpp"
 
 namespace hermes::lint {
 
@@ -54,39 +46,6 @@ void collect(const fs::path& root, const fs::path& arg, std::vector<fs::path>& o
   }
 }
 
-/// Per-file pipeline state. `lines` is lazily populated: a file whose
-/// summary AND findings both come from the cache is never lexed at all.
-struct Work {
-  std::string rel;       ///< repo-relative path (used in findings)
-  std::string content;   ///< raw bytes
-  std::uint64_t hash = 0;
-  bool summary_reused = false;
-  bool findings_reused = false;
-  FileSummary summary;
-  std::vector<Line> lines;
-  bool lexed = false;
-  LintResult local;  ///< findings/suppressions for this file only
-};
-
-/// Runs `fn(i)` for every i in [0, n) across up to `threads` workers.
-void fan_out(std::size_t n, int threads, const std::function<void(std::size_t)>& fn) {
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(threads, 1), n == 0 ? 1 : n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-}
-
 }  // namespace
 
 DriveResult drive(const DriveOptions& options) {
@@ -99,104 +58,20 @@ DriveResult drive(const DriveOptions& options) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  Cache cache;
-  if (!options.cache_path.empty()) cache = load_cache(options.cache_path);
-  const std::uint64_t rules = rules_version();
-  // A rule-set change invalidates everything: summaries and findings are
-  // both products of this binary's pass logic.
-  if (cache.rules_version != rules) cache = Cache{};
-
-  std::vector<Work> work(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    Work& w = work[i];
-    w.rel = fs::relative(files[i], root).generic_string();
-    std::ifstream in(files[i], std::ios::binary);
+  Linter linter;
+  linter.set_today(options.today);
+  for (const fs::path& f : files) {
+    std::ifstream in(f, std::ios::binary);
     if (!in) {
       out.io_error = true;
       continue;
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    w.content = std::move(ss).str();
-    w.hash = fnv1a(w.content);
-    const auto it = cache.files.find(w.rel);
-    if (it != cache.files.end() && it->second.content_hash == w.hash) {
-      w.summary = it->second.summary;
-      w.summary_reused = true;
-    }
+    linter.add_file(fs::relative(f, root).generic_string(), std::move(ss).str());
   }
-
-  // Phase 1 (parallel): lex + summarize files the cache cannot cover.
-  fan_out(work.size(), options.threads, [&](std::size_t i) {
-    Work& w = work[i];
-    if (w.summary_reused) return;
-    w.lines = Lexer::scan(w.content);
-    w.lexed = true;
-    w.summary = Linter::summarize(w.rel, w.lines);
-  });
-
-  // Phase 2: fold summaries into the whole-tree context.
-  std::vector<const FileSummary*> sums;
-  sums.reserve(work.size());
-  for (const Work& w : work) sums.push_back(&w.summary);
-  const GlobalContext ctx = Linter::build_context(sums, options.today);
-  const std::uint64_t global = ctx.hash();
-
-  // Findings are reusable only when the file, the whole-tree context, and
-  // the rule set all match what the cache recorded.
-  const bool context_matches = cache.global_hash == global && cache.rules_version == rules;
-  for (Work& w : work) {
-    if (!w.summary_reused || !context_matches) continue;
-    const auto it = cache.files.find(w.rel);
-    if (it == cache.files.end()) continue;
-    w.local.findings = it->second.findings;
-    w.local.suppressed = it->second.suppressions;
-    w.findings_reused = true;
-  }
-
-  // Phase 3 (parallel): lint everything not served from the cache.
-  fan_out(work.size(), options.threads, [&](std::size_t i) {
-    Work& w = work[i];
-    if (w.findings_reused) return;
-    if (!w.lexed) {
-      w.lines = Lexer::scan(w.content);
-      w.lexed = true;
-    }
-    Linter::lint_file(w.rel, w.lines, w.summary, ctx, w.local);
-  });
-
-  // Deterministic merge in sorted-path order, then canonical sort.
-  out.result.files_scanned = static_cast<int>(work.size());
-  for (Work& w : work) {
-    std::move(w.local.findings.begin(), w.local.findings.end(),
-              std::back_inserter(out.result.findings));
-    std::move(w.local.suppressed.begin(), w.local.suppressed.end(),
-              std::back_inserter(out.result.suppressed));
-    out.timing.files_reused += w.findings_reused ? 1 : 0;
-    out.timing.files_linted += w.findings_reused ? 0 : 1;
-  }
-  sort_result(out.result);
-
-  if (!options.cache_path.empty()) {
-    Cache fresh;
-    fresh.global_hash = global;
-    fresh.rules_version = rules;
-    for (Work& w : work) {
-      fresh.files.emplace(w.rel, CachedFile{w.hash, std::move(w.summary), {}, {}});
-    }
-    // Per-file results were moved into the merged result above; route each
-    // finding back to its file's cache slot from there.
-    for (const Finding& f : out.result.findings) {
-      const auto it = fresh.files.find(f.file);
-      if (it != fresh.files.end()) it->second.findings.push_back(f);
-    }
-    for (const Suppression& s : out.result.suppressed) {
-      const auto it = fresh.files.find(s.file);
-      if (it != fresh.files.end()) it->second.suppressions.push_back(s);
-    }
-    save_cache(options.cache_path, fresh);
-  }
-
+  out.result = linter.run();
+  out.timing.files_linted = out.result.files_scanned;
   out.timing.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   return out;

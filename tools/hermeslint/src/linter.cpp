@@ -573,17 +573,6 @@ bool is_known_rule(std::string_view id) {
                      [&](const RuleInfo& r) { return r.id == id; });
 }
 
-std::uint64_t rules_version() {
-  std::uint64_t h = fnv1a("hermeslint-rules");
-  for (const RuleInfo& r : kCatalogue) {
-    h = fnv1a(r.id, h);
-    h = fnv1a("\x1f", h);
-    h = fnv1a(r.summary, h);
-    h = fnv1a("\x1e", h);
-  }
-  return h;
-}
-
 void Linter::add_file(std::string path, std::string source) {
   File f;
   f.path = std::move(path);
@@ -1046,7 +1035,6 @@ std::string to_json(const LintResult& r, const LintTiming* timing) {
   s += "  \"clean\": " + std::string(r.findings.empty() ? "true" : "false") + ",\n";
   if (timing != nullptr) {
     s += "  \"timing\": {\"wall_ms\": " + std::to_string(timing->wall_ms) +
-         ", \"files_reused\": " + std::to_string(timing->files_reused) +
          ", \"files_linted\": " + std::to_string(timing->files_linted) + "},\n";
   }
   s += "  \"findings\": [";
